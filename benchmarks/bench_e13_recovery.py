@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.algorithms import HeapWaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.analysis import Table
 from repro.core.instance import WeightedPagingInstance
 from repro.faults import FaultPlan
@@ -50,9 +50,9 @@ def _workload():
 
 def _service(inst, **kwargs):
     return PagingService(ServiceConfig(
-        instance=inst, policy_factory=HeapWaterFillingPolicy,
+        instance=inst, policy_factory=KernelWaterFillingPolicy,
         n_shards=N_SHARDS, batch_size=BATCH, seed=0,
-        policy_name="waterfilling-heap", **kwargs,
+        policy_name="waterfilling-kernel", **kwargs,
     ))
 
 
@@ -82,7 +82,7 @@ def run_determinism_experiment() -> tuple[Table, dict]:
 
     table = Table(
         ["run", "evict cost", "served", "restores", "replayed", "faults"],
-        title=f"E13: recovery determinism (waterfilling-heap, "
+        title=f"E13: recovery determinism (waterfilling-kernel, "
               f"{N_SHARDS} shards, kill+drop mid-run)",
     )
     table.add_row("fault-free", fault_free, STREAM_LEN, 0, 0, 0)

@@ -28,7 +28,7 @@ import threading
 import time
 from time import perf_counter
 
-from repro.algorithms import HeapWaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.analysis import Table
 from repro.cluster import ClusterMap, ClusterProxy
 from repro.core.instance import WeightedPagingInstance
@@ -56,9 +56,9 @@ def _workload():
 
 def _service(inst):
     return PagingService(ServiceConfig(
-        instance=inst, policy_factory=HeapWaterFillingPolicy,
+        instance=inst, policy_factory=KernelWaterFillingPolicy,
         n_shards=N_SHARDS, batch_size=BATCH, queue_depth=256, seed=0,
-        policy_name="waterfilling-heap",
+        policy_name="waterfilling-kernel",
     ))
 
 
@@ -167,7 +167,7 @@ def run_experiment() -> tuple[Table, dict]:
         ["path", "conns", "req/s", "vs direct", "p50 ms", "p99 ms",
          "failed", "epoch"],
         title=f"E16: cluster proxy vs direct TCP "
-              f"(waterfilling-heap, Zipf 0.9, n={N_PAGES}, k={K}, "
+              f"(waterfilling-kernel, Zipf 0.9, n={N_PAGES}, k={K}, "
               f"{N_BACKENDS} backends, window={WINDOW})",
     )
     table.add_row("direct tcp", CONNECTIONS,
@@ -184,7 +184,7 @@ def run_experiment() -> tuple[Table, dict]:
                   migrated["failed_batches"], migrated["epoch"])
     extra = {
         "workload": {"n_pages": N_PAGES, "k": K, "requests": STREAM_LEN,
-                     "batch_size": BATCH, "policy": "waterfilling-heap",
+                     "batch_size": BATCH, "policy": "waterfilling-kernel",
                      "window": WINDOW, "shards": N_SHARDS,
                      "backends": N_BACKENDS},
         "floor_ratio": FLOOR_RATIO,

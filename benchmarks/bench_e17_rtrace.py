@@ -33,7 +33,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from repro.algorithms import HeapWaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.analysis import Table
 from repro.cluster import ClusterMap, ClusterProxy
 from repro.net import AdmissionPolicy, NetServer, run_network_load
@@ -83,9 +83,9 @@ def _workload():
 
 def _backend(inst, span_dir: Path | None):
     svc = PagingService(ServiceConfig(
-        instance=inst, policy_factory=HeapWaterFillingPolicy,
+        instance=inst, policy_factory=KernelWaterFillingPolicy,
         n_shards=N_SHARDS, batch_size=BATCH, queue_depth=256, seed=0,
-        policy_name="waterfilling-heap",
+        policy_name="waterfilling-kernel",
     ))
     exporter = None
     if span_dir is not None:
@@ -167,7 +167,7 @@ def run_experiment() -> tuple[Table, dict]:
         ["config", "req/s", "vs baseline", "p50 ms", "p99 ms",
          "spans", "max chain"],
         title=f"E17: request-tracing overhead through the proxy "
-              f"(waterfilling-heap, Zipf 0.9, n={N_PAGES}, k={K}, "
+              f"(waterfilling-kernel, Zipf 0.9, n={N_PAGES}, k={K}, "
               f"{N_BACKENDS} backends, {cores} core(s))",
     )
     for name, run in (("baseline (no tracing)", baseline),
@@ -179,7 +179,7 @@ def run_experiment() -> tuple[Table, dict]:
                       run["max_chain"])
     extra = {
         "workload": {"n_pages": N_PAGES, "k": K, "requests": STREAM_LEN,
-                     "batch_size": BATCH, "policy": "waterfilling-heap",
+                     "batch_size": BATCH, "policy": "waterfilling-kernel",
                      "window": WINDOW, "shards": N_SHARDS,
                      "backends": N_BACKENDS, "sample": SAMPLE},
         "baseline": baseline,

@@ -11,18 +11,20 @@ per-request interpreter overhead disappears.
 
 This bench drives a single inline shard (the E15 inline cell: one
 ``submit_batch`` loop, no queueing) on the E10 and E15 workload shapes
-and records requests/s for three implementations per family:
+and records requests/s for the two implementations per family:
 
-* the O(k)-scan reference (``landlord-ref`` / ``waterfilling``) — the
-  scalar status-quo baseline the E-series benches configure today,
-* the lazy-heap scalar (``landlord`` / ``waterfilling-heap``),
-* the columnar kernel.
+* the O(k)-scan oracle (``landlord-ref`` / ``waterfilling``) — the
+  scalar baseline,
+* the columnar kernel (``landlord-kernel`` / ``waterfilling-kernel``),
+  the production implementation (it replaced the lazy-heap scalars,
+  whose registry names ``landlord`` / ``waterfilling-heap`` now resolve
+  to it).
 
 Asserted shape claims:
 
-* **Exact cost equality** — per shape and family, all three
-  implementations produce ``==``-equal eviction costs (the kernel must be
-  unobservable in the ledgers).
+* **Exact cost equality** — per shape and family, both implementations
+  produce ``==``-equal eviction costs (the kernel must be unobservable
+  in the ledgers).
 * **Kernel speedup** (enforced on every machine, 1-core CI included) —
   the kernel serves >= 3x the scan baseline's throughput on both shapes
   for both families.  The single-core >= 1M req/s target is recorded as
@@ -55,12 +57,11 @@ SHAPES = {
 }
 #: family -> implementation tier -> registered policy name
 FAMILIES = {
-    "landlord": {"baseline": "landlord-ref", "heap": "landlord",
-                 "kernel": "landlord-kernel"},
-    "waterfilling": {"baseline": "waterfilling", "heap": "waterfilling-heap",
+    "landlord": {"baseline": "landlord-ref", "kernel": "landlord-kernel"},
+    "waterfilling": {"baseline": "waterfilling",
                      "kernel": "waterfilling-kernel"},
 }
-TIERS = ("baseline", "heap", "kernel")
+TIERS = ("baseline", "kernel")
 
 
 def _workload(shape: dict):
@@ -97,7 +98,6 @@ def run_experiment() -> tuple[Table, dict]:
     )
     runs: dict[str, dict] = {}
     speedups: dict[str, list[float]] = {f: [] for f in FAMILIES}
-    heap_ratios: dict[str, list[float]] = {f: [] for f in FAMILIES}
     competitive_ratios: dict[str, dict[str, float]] = {}
     best_kernel = 0.0
     max_ratio = 0.0
@@ -116,10 +116,7 @@ def run_experiment() -> tuple[Table, dict]:
                               "throughput_req_s": rate}
             base_rate = cell["baseline"]["throughput_req_s"]
             speedup = cell["kernel"]["throughput_req_s"] / base_rate
-            vs_heap = (cell["kernel"]["throughput_req_s"]
-                       / cell["heap"]["throughput_req_s"])
             speedups[family].append(speedup)
-            heap_ratios[family].append(vs_heap)
             best_kernel = max(best_kernel,
                               cell["kernel"]["throughput_req_s"])
             for tier in TIERS:
@@ -139,7 +136,6 @@ def run_experiment() -> tuple[Table, dict]:
             shape_runs[family] = {
                 **cell,
                 "kernel_vs_baseline": speedup,
-                "kernel_vs_heap": vs_heap,
                 "competitive_ratio": family_ratio,
             }
         runs[shape_name] = {"workload": {**shape, "requests": STREAM_LEN,
@@ -155,10 +151,6 @@ def run_experiment() -> tuple[Table, dict]:
         # on the same single core, so the ratio needs no parallelism.
         "kernel_speedup_gate": {"floor": SPEEDUP_FLOOR, "enforced": True},
         "kernel_speedup_gate_enforced": True,
-        # Informational: the lazy-heap scalars are already O(log k), so
-        # the kernel's win over them is interpreter overhead only.
-        "kernel_vs_heap_landlord": min(heap_ratios["landlord"]),
-        "kernel_vs_heap_waterfilling": min(heap_ratios["waterfilling"]),
         "best_kernel_req_s": best_kernel,
         "target_req_s": TARGET_REQ_S,
         "target_req_s_met": best_kernel >= TARGET_REQ_S,
@@ -173,7 +165,7 @@ def test_e18_kernel_throughput(benchmark):
     table, extra = once(benchmark, run_experiment)
     emit(table, "e18_kernels", extra=extra)
     # The kernel must be unobservable in the ledgers: exact cost equality
-    # against both scalar implementations, per shape and family.
+    # against the scan oracle, per shape and family.
     for shape_name, shape_runs in extra["runs"].items():
         for family in FAMILIES:
             cell = shape_runs[family]

@@ -3,17 +3,19 @@
 ========================  =====================================================
 Policy                    What it is
 ========================  =====================================================
-``waterfilling``          Section 4.1 deterministic O(k) (reference impl)
-``waterfilling-heap``     same algorithm, O(log k)-per-miss heap variant
-``waterfilling-kernel``   same algorithm, columnar numpy batch kernel
+``waterfilling``          Section 4.1 deterministic O(k), O(k)-scan oracle
+``waterfilling-kernel``   same algorithm, columnar numpy batch kernel (the
+                          production implementation; ``waterfilling-heap``
+                          names the same class)
 ``randomized-weighted``   Algorithm 1 + fractional solver (weighted paging)
 ``randomized-multilevel`` Algorithm 2 + fractional solver (Theorem 1.2/1.5)
 ``lru`` / ``fifo`` /
 ``random`` / ``marking``
 / ``randomized-marking``  classical weight-oblivious baselines
-``landlord``              k-competitive weighted baseline (O(log k) heap)
+``landlord-kernel``       k-competitive weighted baseline, columnar numpy
+                          batch kernel (the production implementation;
+                          ``landlord`` names the same class)
 ``landlord-ref``          same algorithm, O(k)-scan reference oracle
-``landlord-kernel``       same algorithm, columnar numpy batch kernel
 ``wb-lru``                dirty-oblivious LRU on a writeback cache
 ``wb-landlord``           dirty-aware Landlord heuristic
 ``rw[<inner>]``           any multi-level policy lifted to writeback caching
@@ -44,7 +46,7 @@ from repro.algorithms.kernels import (
     KernelLandlordPolicy,
     KernelWaterFillingPolicy,
 )
-from repro.algorithms.landlord import LandlordPolicy, LandlordRefPolicy
+from repro.algorithms.landlord import LandlordRefPolicy
 from repro.algorithms.primal_dual import (
     PrimalDualState,
     PrimalDualWeightedPaging,
@@ -61,7 +63,7 @@ from repro.algorithms.sources import (
     TrajectorySource,
     lazify_trajectory,
 )
-from repro.algorithms.waterfilling import HeapWaterFillingPolicy, WaterFillingPolicy
+from repro.algorithms.waterfilling import WaterFillingPolicy
 from repro.algorithms.writeback_adapters import (
     RWAdapterPolicy,
     WBLandlordPolicy,
@@ -78,7 +80,6 @@ __all__ = [
     "RandomEvictionPolicy",
     "MarkingPolicy",
     "RandomizedMarkingPolicy",
-    "LandlordPolicy",
     "LandlordRefPolicy",
     "KernelLandlordPolicy",
     "KernelWaterFillingPolicy",
@@ -86,7 +87,6 @@ __all__ = [
     "ClockPolicy",
     "GDSFPolicy",
     "WaterFillingPolicy",
-    "HeapWaterFillingPolicy",
     "FractionalMultiLevelSolver",
     "FractionalStep",
     "FractionalTrajectory",

@@ -4,14 +4,13 @@ Both water-filling and Landlord reduce, via the global-offset trick, to
 the same eviction core: every cached copy carries a *death key*
 ``weight_at_set + offset_at_set`` and the victim is the exact minimum of
 ``(death, seq)``.  That core is pure array arithmetic, so this module
-stores the policy state as preallocated numpy columns instead of dicts
-and heaps:
+stores the policy state as preallocated numpy columns instead of dicts:
 
 ========================  ====================================================
 Column                    Meaning
 ========================  ====================================================
 ``_death   float64[k]``   death key per cache slot (``+inf`` for free slots,
-                          which keeps ``argmin`` mask-free)
+                          which keeps the candidate refill mask-free)
 ``_seqc    int64[k]``     credit-set sequence number per slot (tie-break)
 ``_slot_level_np i64[k]`` cached level per slot (0 for free slots)
 ``_page_slot_np  i64[n]`` page -> slot index (-1 when not cached)
@@ -28,17 +27,32 @@ Column                    Meaning
 3. the remainder runs a lean scalar loop that *trusts* the batch
    classification for any page not yet touched by a miss/upgrade in
    this batch (a "dirty" set), and re-derives state only for dirty
-   pages.  Evictions are ``argmin`` over the death column with the seq
-   column consulted only when the minimum is tied.
+   pages.
+
+Victims come from a short *candidate list*: the copies with the smallest
+``(death, seq)`` keys, sorted, refilled from the death column (one
+``np.partition``) only when it runs dry.  Every copy whose death key is
+at most the refill threshold ``_tau`` has an entry — later writes at or
+below it are inserted with ``bisect`` — and an entry whose slot has been
+rewritten since is stale (its seq no longer matches) and skipped, so the
+first live entry is the exact ``(death, seq)`` minimum.  This keeps numpy
+out of the per-miss path: an ``argmin`` per eviction would release the
+GIL each time, and in the threaded service every release hands the
+interpreter to another thread, which halved the shard workers'
+throughput.
+
+These kernels are the production implementation of both policies:
+``landlord`` and ``waterfilling-heap`` (the names of the retired
+lazy-heap scalars, which recorded experiences, CLI defaults and benches
+still use) resolve to them in the registry.
 
 Exactness: the kernels perform the *same* double-precision additions in
-the same order as the scalar policies (``weights[p, l-1] + offset`` on
+the same order as the O(k)-scan oracles (``weights[p, l-1] + offset`` on
 the same read-only array), pick victims by the same exact ``(death,
 seq)`` minimum, and charge the ledger with identical reasons in
 identical order — so costs, eviction event streams, and final cache
-contents are ``==``-equal to ``landlord``/``landlord-ref`` and
-``waterfilling``/``waterfilling-heap``.  The test suite pins this
-request-by-request (hypothesis suite in
+contents are ``==``-equal to ``landlord-ref`` and ``waterfilling``.  The
+test suite pins this request-by-request (hypothesis suite in
 ``tests/algorithms/test_kernel_equivalence.py``).
 
 The kernels write ``cache._contents`` directly (one dict store per
@@ -46,20 +60,22 @@ mutation) instead of going through :meth:`MultiLevelCache.fetch` /
 ``evict`` / ``replace``: the cache dict stays authoritative and in sync
 after every request — invariant checks and ``serves()`` still work —
 but the per-call validation layers are skipped on the hot path.  Run
-with ``validate=True`` (scalar fallback + per-request invariant checks)
-when auditing.
+with ``validate=True`` (the per-request ``serve`` loop + invariant
+checks) when auditing.
 
 Checkpointing: the policies pickle their numpy columns and rebuild the
 derived python-list mirrors and weight views in ``__setstate__``, so
 supervisor restore, process workers, and cluster migration round-trip
-them exactly like the scalar policies.
+them exactly like any other policy.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
 
-from repro.algorithms.base import Policy, register_policy
+from repro.algorithms.base import Policy, policy_registry, register_policy
 from repro.errors import CacheInvariantError
 
 __all__ = ["KernelLandlordPolicy", "KernelWaterFillingPolicy"]
@@ -67,6 +83,11 @@ __all__ = ["KernelLandlordPolicy", "KernelWaterFillingPolicy"]
 #: Sequence sentinel for free slots (never compared against a live seq).
 _EMPTY_SEQ = 2 ** 62
 _INF = float("inf")
+#: Live keys a candidate-list refill takes from the death column.
+_CANDIDATES = 64
+#: Entries past which the candidate list is dropped (stale entries pile
+#: up when hits keep rewriting low keys between evictions).
+_CANDIDATE_CAP = 1024
 
 
 def _noop(_page) -> None:
@@ -97,7 +118,7 @@ class _ColumnarPolicy(Policy):
         self._offset = 0.0
         self._counter = 0
         self._ncached = 0
-        # Authoritative numpy columns (the eviction argmin runs on these).
+        # Authoritative numpy columns (victim candidates are drawn from these).
         self._death = np.full(k, np.inf, dtype=np.float64)
         self._seqc = np.full(k, _EMPTY_SEQ, dtype=np.int64)
         self._page_slot_np = np.full(n, -1, dtype=np.int64)
@@ -119,6 +140,10 @@ class _ColumnarPolicy(Policy):
         self._slot_level = self._slot_level_np.tolist()
         self._contents = self.cache._contents
         self._ledger = self.cache.ledger
+        # Empty candidate list with threshold -inf: vacuously complete,
+        # so the first eviction refills it from the columns.
+        self._cand: list[tuple[float, int, int]] = []
+        self._tau = -_INF
 
     def rebind_instance(self) -> None:
         """Re-derive weight views after the engine re-points ``instance``.
@@ -137,7 +162,7 @@ class _ColumnarPolicy(Policy):
         # Derived mirrors are rebuilt on unpickle; dropping them keeps
         # checkpoints small and avoids pickling the cache dict twice.
         for name in ("_W", "_wlist", "_page_slot", "_slot_level",
-                     "_contents", "_ledger"):
+                     "_contents", "_ledger", "_cand", "_tau"):
             state.pop(name, None)
         return state
 
@@ -165,8 +190,7 @@ class _ColumnarPolicy(Policy):
         The loop body is the inlined union of ``_scalar_hit`` /
         ``_serve_one`` / ``_evict_victim`` — kept semantically in
         lock-step with them (the protocol :meth:`serve` path runs those,
-        and the equivalence suite pins both against the scalar
-        policies).
+        and the equivalence suite pins both against the scan oracles).
         """
         death = self._death
         seqc = self._seqc
@@ -185,8 +209,9 @@ class _ColumnarPolicy(Policy):
         k = self._k
         restores = self._hit_restores
         reason = self._evict_reason
-        argmin = death.argmin
-        inf = _INF
+        pop_victim = self._pop_victim
+        push = self._push
+        tau = self._tau
         offset = self._offset
         counter = self._counter
         ncached = self._ncached
@@ -202,10 +227,12 @@ class _ColumnarPolicy(Policy):
                     hits += 1
                     if restores:
                         slot = slot_l[i]
-                        death[slot] = (
-                            wlist[page * L + level_l[i] - 1] + offset
-                        )
+                        key = wlist[page * L + level_l[i] - 1] + offset
+                        death[slot] = key
                         seqc[slot] = counter
+                        if key <= tau:
+                            push(key, counter, slot)
+                            tau = self._tau
                         counter += 1
                     continue
                 level = levels_l[i]
@@ -215,10 +242,12 @@ class _ColumnarPolicy(Policy):
                     if current <= level:
                         hits += 1
                         if restores:
-                            death[slot] = (
-                                wlist[page * L + current - 1] + offset
-                            )
+                            key = wlist[page * L + current - 1] + offset
+                            death[slot] = key
                             seqc[slot] = counter
+                            if key <= tau:
+                                push(key, counter, slot)
+                                tau = self._tau
                             counter += 1
                         continue
                     # In-place level upgrade: charge the old copy.
@@ -228,30 +257,19 @@ class _ColumnarPolicy(Policy):
                     count_fetch()
                     slot_level[slot] = level
                     slot_level_np[slot] = level
-                    death[slot] = wlist[page * L + level - 1] + offset
+                    key = wlist[page * L + level - 1] + offset
+                    death[slot] = key
                     seqc[slot] = counter
+                    if key <= tau:
+                        push(key, counter, slot)
+                        tau = self._tau
                     counter += 1
                     dirty_add(page)
                     continue
                 # Miss: evict the (death, seq)-minimal copy if full.
                 if ncached >= k:
-                    victim = int(argmin())
-                    key = death[victim]
-                    if key == inf:
-                        raise CacheInvariantError(
-                            f"policy {self.name!r}: death-key column "
-                            f"exhausted while the cache holds "
-                            f"{len(contents)}/{k} copies — kernel state "
-                            "is corrupt (e.g. a bad restore)"
-                        )
-                    # Tie probe: mask the winner, re-run argmin; a second
-                    # slot at the same key means the seq column decides.
-                    death[victim] = inf
-                    if death[int(argmin())] == key:
-                        death[victim] = key
-                        ties = np.flatnonzero(death == key)
-                        victim = int(ties[int(seqc[ties].argmin())])
-                    offset = float(key)
+                    victim, offset = pop_victim()
+                    tau = self._tau
                     vpage = slot_page[victim]
                     vlevel = slot_level[victim]
                     del contents[vpage]
@@ -262,7 +280,7 @@ class _ColumnarPolicy(Policy):
                     slot_page[victim] = -1
                     slot_level[victim] = 0
                     slot_level_np[victim] = 0
-                    death[victim] = inf
+                    death[victim] = _INF
                     seqc[victim] = _EMPTY_SEQ
                     free.append(victim)
                     ncached -= 1
@@ -275,8 +293,12 @@ class _ColumnarPolicy(Policy):
                 slot_page[slot] = page
                 slot_level[slot] = level
                 slot_level_np[slot] = level
-                death[slot] = wlist[page * L + level - 1] + offset
+                key = wlist[page * L + level - 1] + offset
+                death[slot] = key
                 seqc[slot] = counter
+                if key <= tau:
+                    push(key, counter, slot)
+                    tau = self._tau
                 counter += 1
                 ncached += 1
                 dirty_add(page)
@@ -289,28 +311,60 @@ class _ColumnarPolicy(Policy):
     # -- credit/water bookkeeping ------------------------------------------
     def _insert(self, page: int, slot: int, level: int) -> None:
         """Set the death key for a freshly (re)fetched copy."""
-        self._death[slot] = self._wlist[page * self._L + level - 1] + self._offset
+        key = self._wlist[page * self._L + level - 1] + self._offset
+        self._death[slot] = key
         self._seqc[slot] = self._counter
+        self._push(key, self._counter, slot)
         self._counter += 1
 
-    def _evict_victim(self) -> int:
-        """Evict the exact ``(death, seq)``-minimal copy; returns its page."""
+    # -- victim candidates -------------------------------------------------
+    def _push(self, key: float, seq: int, slot: int) -> None:
+        """Enter a write of ``(key, seq)`` to ``slot`` if it is a candidate.
+
+        Entries are stored negated so ``list.pop()`` yields the minimum.
+        """
+        if key <= self._tau:
+            cand = self._cand
+            insort(cand, (-key, -seq, slot))
+            if len(cand) > _CANDIDATE_CAP:
+                cand.clear()
+                self._tau = -_INF
+
+    def _refill(self) -> None:
+        """Reload the candidates: every key up to the ``_CANDIDATES``-th."""
         death = self._death
-        victim = int(death.argmin())
-        key = death[victim]
-        if key == _INF:
+        m = min(_CANDIDATES, self._k)
+        tau = float(np.partition(death, m - 1)[m - 1])
+        if tau == _INF:
             raise CacheInvariantError(
                 f"policy {self.name!r}: death-key column exhausted while the "
                 f"cache holds {len(self._contents)}/{self._k} copies — "
                 "kernel state is corrupt (e.g. a bad restore)"
             )
-        # Ties in the death key are broken by the credit-set sequence
-        # number, exactly like the scalar policies; the seq column is
-        # only consulted when a tie actually exists.
-        if np.count_nonzero(death == key) > 1:
-            ties = np.flatnonzero(death == key)
-            victim = int(ties[int(self._seqc[ties].argmin())])
-        self._offset = float(key)
+        slots = np.flatnonzero(death <= tau)
+        self._cand[:] = sorted(zip((-death[slots]).tolist(),
+                                   (-self._seqc[slots]).tolist(),
+                                   slots.tolist()))
+        self._tau = tau
+
+    def _pop_victim(self) -> tuple[int, float]:
+        """Take the ``(death, seq)``-minimal slot off the candidates.
+
+        Only called on a full cache.  Returns the slot and its death key.
+        """
+        cand = self._cand
+        death = self._death
+        seqc = self._seqc
+        while True:
+            while cand:
+                key, seq, slot = cand.pop()
+                if seqc[slot] == -seq and death[slot] == -key:
+                    return slot, -key
+            self._refill()
+
+    def _evict_victim(self) -> int:
+        """Evict the exact ``(death, seq)``-minimal copy; returns its page."""
+        victim, self._offset = self._pop_victim()
         page = self._slot_page[victim]
         level = self._slot_level[victim]
         del self._contents[page]
@@ -323,7 +377,7 @@ class _ColumnarPolicy(Policy):
         self._slot_page[victim] = -1
         self._slot_level[victim] = 0
         self._slot_level_np[victim] = 0
-        death[victim] = np.inf
+        self._death[victim] = _INF
         self._seqc[victim] = _EMPTY_SEQ
         self._free.append(victim)
         self._ncached -= 1
@@ -422,20 +476,21 @@ class KernelLandlordPolicy(_ColumnarPolicy):
 
     def _scalar_hit(self, page: int, slot: int, current: int) -> None:
         # Hit: restore credit to the cached copy's full weight.
-        self._death[slot] = (
-            self._wlist[page * self._L + current - 1] + self._offset
-        )
-        self._seqc[slot] = self._counter
-        self._counter += 1
+        self._insert(page, slot, current)
 
     def _apply_hit_run(self, run_pages, run_slots, run_levels) -> None:
         count = self._counter
         r = int(run_pages.size)
-        self._death[run_slots] = (
-            self._W[run_pages, run_levels - 1] + self._offset
-        )
+        keys = self._W[run_pages, run_levels - 1] + self._offset
+        self._death[run_slots] = keys
         self._seqc[run_slots] = np.arange(count, count + r, dtype=np.int64)
         self._counter = count + r
+        low = np.flatnonzero(keys <= self._tau)
+        if low.size:
+            keys_l = keys.tolist()
+            slots_l = run_slots.tolist()
+            for i in low.tolist():
+                self._push(keys_l[i], count + i, slots_l[i])
 
 
 @register_policy
@@ -456,3 +511,8 @@ class KernelWaterFillingPolicy(_ColumnarPolicy):
 
     def _apply_hit_run(self, run_pages, run_slots, run_levels) -> None:
         return  # hits touch no columns
+
+
+# The retired lazy-heap scalars' registry names resolve to the kernels.
+policy_registry["landlord"] = KernelLandlordPolicy
+policy_registry["waterfilling-heap"] = KernelWaterFillingPolicy

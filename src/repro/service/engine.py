@@ -33,10 +33,10 @@ import numpy as np
 from repro.algorithms.base import Policy
 from repro.core.cache import MultiLevelCache
 from repro.core.instance import MultiLevelInstance
-from repro.errors import CacheInvariantError
 from repro.obs.registry import MetricsRegistry, null_registry
 from repro.obs.spans import PhaseProfiler
 from repro.service.metrics import LatencyHistogram, ServiceLedger, ShardSnapshot
+from repro.sim.simulator import serve_requests
 
 __all__ = ["ShardEngine"]
 
@@ -48,7 +48,6 @@ class ShardEngine:
         "shard_id", "instance", "policy", "ledger", "cache", "latency",
         "validate", "n_batches", "profiler", "tracer",
         "_m_requests", "_m_hits", "_m_misses", "_m_batches", "_t",
-        "_serve_batch",
     )
 
     def __init__(
@@ -97,11 +96,6 @@ class ShardEngine:
         ).labels(shard_label)
         self._t = 0
         policy.bind(instance, self.cache, rng)
-        # Columnar policies expose serve_batch: the whole-batch fast path
-        # used when neither validation nor active tracing needs the
-        # per-request loop.  Cached here (and refreshed on restore) so the
-        # hot path pays one attribute load, not a getattr.
-        self._serve_batch = getattr(policy, "serve_batch", None)
 
     @property
     def n_requests(self) -> int:
@@ -132,62 +126,20 @@ class ShardEngine:
         """Serve one micro-batch; every page must be routed to this shard.
 
         Timing covers the whole batch (the latency the load generator's
-        clients would observe for a synchronous round-trip).
+        clients would observe for a synchronous round-trip).  The serve
+        loop itself — per-request when validating or tracing, else the
+        policy's ``serve_batch``, else plain — is
+        :func:`repro.sim.simulator.serve_requests`, the same one
+        :func:`repro.sim.simulate` runs.
         """
         started = perf_counter()
-        cache = self.cache
         ledger = self.ledger
-        serves = cache.serves
-        serve = self.policy.serve
-        t = self._t
-        hits = 0
-        tracer = self.tracer
-        if tracer is not None and not tracer.active:
-            tracer = None  # unsampled tracing: keep the fast loop
-        if self.validate:
-            set_time = ledger.set_time
-            check = cache.check_invariants
-            name = self.policy.name
-            for page, level in zip(pages.tolist(), levels.tolist()):
-                set_time(t)
-                hit = serves(page, level)
-                if hit:
-                    hits += 1
-                if tracer is not None:
-                    tracer.request(t, page, level, hit)
-                serve(t, page, level)
-                if not serves(page, level):
-                    raise CacheInvariantError(
-                        f"policy {name!r} left request t={t} (page={page}, "
-                        f"level={level}) unserved on shard {self.shard_id}"
-                    )
-                check()
-                t += 1
-        elif tracer is not None:
-            set_time = ledger.set_time
-            trace_request = tracer.request
-            for page, level in zip(pages.tolist(), levels.tolist()):
-                set_time(t)
-                hit = serves(page, level)
-                if hit:
-                    hits += 1
-                trace_request(t, page, level, hit)
-                serve(t, page, level)
-                t += 1
-        elif self._serve_batch is not None:
-            # Kernel fast path: the policy serves the whole micro-batch
-            # from its columnar state with semantics identical to the
-            # per-request loop below (pinned by the equivalence suite).
-            hits = self._serve_batch(t, pages, levels)
-            t += int(pages.size)
-        else:
-            for page, level in zip(pages.tolist(), levels.tolist()):
-                if serves(page, level):
-                    hits += 1
-                serve(t, page, level)
-                t += 1
-        n = t - self._t
-        self._t = t
+        hits = serve_requests(
+            self.policy, self.cache, self._t, pages, levels,
+            validate=self.validate, tracer=self.tracer, shard=self.shard_id,
+        )
+        n = int(pages.size)
+        self._t += n
         ledger.n_hits += hits
         ledger.n_misses += n - hits
         self.n_batches += 1
@@ -253,7 +205,6 @@ class ShardEngine:
         rebind = getattr(policy, "rebind_instance", None)
         if rebind is not None:
             rebind()
-        self._serve_batch = getattr(policy, "serve_batch", None)
         # Transplant the live exposition handles onto the restored ledger.
         ledger._m_evictions = old_ledger._m_evictions
         ledger._m_cost = old_ledger._m_cost

@@ -12,7 +12,12 @@ A policy that cheats raises :class:`~repro.errors.CacheInvariantError`
 immediately, with the failing time step in the message.  Pass
 ``validate=False`` on hot benchmark paths: the fast loop skips every
 per-request invariant check and batches the hit/miss accounting, so the
-only per-request work left is the serve call plus one dict lookup.
+only per-request work left is the serve call plus one dict lookup — or,
+for the columnar kernels, none at all (``serve_batch``).
+
+:func:`serve_requests` holds the choice between those loops; the
+service's :class:`~repro.service.ShardEngine` serves its micro-batches
+through it too.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.sim.metrics import RunResult
 
 __all__ = ["simulate", "simulate_writeback"]
 
-#: Chunk size for the kernel batch fast path in :func:`simulate`.
+#: Largest chunk handed to a policy's ``serve_batch`` in one call.
 _KERNEL_CHUNK = 4096
 
 
@@ -52,8 +57,8 @@ def simulate(
     ``tracer`` is an optional :class:`repro.obs.DecisionTracer`: sampled
     requests, their evictions and (for policies that expose them) the
     candidate sets are written to its JSONL sink.  A tracer whose sample
-    rate is 0 never activates the traced loop, so attaching one costs
-    nothing on the ``validate=False`` fast path.
+    rate is 0 never activates the traced loop (see :func:`serve_requests`),
+    so attaching one keeps the ``validate=False`` fast path.
     """
     instance.validate_sequence(seq.pages, seq.levels)
     ledger = CostLedger(record_events=record_events)
@@ -61,87 +66,16 @@ def simulate(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     policy.bind(instance, cache, rng)
 
-    pages = seq.pages.tolist()
-    levels = seq.levels.tolist()
-    # The loop is duplicated per validation mode so the fast path carries no
-    # per-request branches; bound methods are hoisted into locals.  Policies
-    # never read the shared ledger (they only write through the cache), so
-    # the fast path batches hit/miss counts into plain ints and ledger
-    # timestamps are only maintained when the event log needs them.
-    serves = cache.serves
-    serve = policy.serve
-    if tracer is not None and tracer.active:
-        # Traced loop: the tracer samples per request index; the ledger and
-        # policy get the tracer attached so eviction / candidate events
-        # follow their request's sampling decision.
-        ledger.tracer = tracer
-        policy.tracer = tracer
-        set_time = ledger.set_time
-        trace_request = tracer.request
-        hits = 0
-        try:
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                set_time(t)
-                hit = serves(page, level)
-                if hit:
-                    hits += 1
-                trace_request(t, page, level, hit)
-                serve(t, page, level)
-                if validate:
-                    if not serves(page, level):
-                        raise CacheInvariantError(
-                            f"policy {policy.name!r} left request t={t} "
-                            f"(page={page}, level={level}) unserved"
-                        )
-                    cache.check_invariants()
-        finally:
-            ledger.tracer = None
-            policy.tracer = None
-        ledger.n_hits += hits
-        ledger.n_misses += len(pages) - hits
-    elif validate:
-        set_time = ledger.set_time
-        count_hit = ledger.count_hit
-        count_miss = ledger.count_miss
-        check = cache.check_invariants
-        for t, (page, level) in enumerate(zip(pages, levels)):
-            set_time(t)
-            if serves(page, level):
-                count_hit()
-            else:
-                count_miss()
-            serve(t, page, level)
-            if not serves(page, level):
-                raise CacheInvariantError(
-                    f"policy {policy.name!r} left request t={t} "
-                    f"(page={page}, level={level}) unserved"
-                )
-            check()
-    else:
-        hits = 0
-        serve_batch = getattr(policy, "serve_batch", None)
-        if record_events:
-            set_time = ledger.set_time
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                set_time(t)
-                if serves(page, level):
-                    hits += 1
-                serve(t, page, level)
-        elif serve_batch is not None:
-            # Columnar policies serve whole chunks from their numpy state;
-            # chunking (rather than one giant call) keeps the kernel's
-            # batch classification fresh against the evolving cache.
-            p_arr, l_arr = seq.pages, seq.levels
-            for lo in range(0, len(pages), _KERNEL_CHUNK):
-                hi = lo + _KERNEL_CHUNK
-                hits += serve_batch(lo, p_arr[lo:hi], l_arr[lo:hi])
-        else:
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                if serves(page, level):
-                    hits += 1
-                serve(t, page, level)
-        ledger.n_hits += hits
-        ledger.n_misses += len(pages) - hits
+    # The ledger and policy carry the tracer only for this run, so
+    # eviction / candidate events follow their request's sampling decision.
+    ledger.tracer = policy.tracer = tracer
+    try:
+        hits = serve_requests(policy, cache, 0, seq.pages, seq.levels,
+                              validate=validate, tracer=tracer)
+    finally:
+        ledger.tracer = policy.tracer = None
+    ledger.n_hits += hits
+    ledger.n_misses += len(seq) - hits
 
     return RunResult(
         policy=policy.name,
@@ -156,6 +90,78 @@ def simulate(
         final_cache=cache.contents(),
         extra=policy.extras(),
     )
+
+
+def serve_requests(
+    policy: Policy,
+    cache: MultiLevelCache,
+    t0: int,
+    pages: np.ndarray,
+    levels: np.ndarray,
+    *,
+    validate: bool = False,
+    tracer=None,
+    shard: int | None = None,
+) -> int:
+    """Serve ``(pages[i], levels[i])`` at logical times ``t0 + i``.
+
+    The one choice of serve loop behind :func:`simulate` and
+    :meth:`repro.service.ShardEngine.process_batch`:
+
+    * a per-request loop when ``validate`` (served + invariant checks
+      after every request), an active ``tracer`` (sampled request events)
+      or the ledger's event log (eviction timestamps) needs one;
+    * else the policy's ``serve_batch`` — the columnar kernels' whole-batch
+      fast path, fed chunks of at most ``_KERNEL_CHUNK`` requests so its
+      batch classification stays fresh against the evolving cache.  It is
+      looked up per call, so a ``serve_batch`` wrapped on the policy
+      instance is the one that runs;
+    * else a plain loop with no per-request bookkeeping.
+
+    A ``tracer`` whose sample rate is 0 does not count as active.  Returns
+    the number of hits; the caller adds hits and misses to the ledger and
+    attaches ``tracer`` to the ledger and policy.  ``shard`` only labels
+    the unserved-request error.
+    """
+    hits = 0
+    serves = cache.serves
+    serve = policy.serve
+    ledger = cache.ledger
+    serve_batch = getattr(policy, "serve_batch", None)
+    if tracer is not None and not tracer.active:
+        tracer = None  # unsampled tracing: keep the fast paths
+    if validate or tracer is not None or ledger.record_events:
+        set_time = ledger.set_time
+        trace_request = tracer.request if tracer is not None else None
+        check = cache.check_invariants
+        for t, (page, level) in enumerate(
+                zip(pages.tolist(), levels.tolist()), t0):
+            set_time(t)
+            hit = serves(page, level)
+            if hit:
+                hits += 1
+            if trace_request is not None:
+                trace_request(t, page, level, hit)
+            serve(t, page, level)
+            if validate:
+                if not serves(page, level):
+                    where = "" if shard is None else f" on shard {shard}"
+                    raise CacheInvariantError(
+                        f"policy {policy.name!r} left request t={t} "
+                        f"(page={page}, level={level}) unserved{where}"
+                    )
+                check()
+    elif serve_batch is not None:
+        for lo in range(0, int(pages.size), _KERNEL_CHUNK):
+            hi = lo + _KERNEL_CHUNK
+            hits += serve_batch(t0 + lo, pages[lo:hi], levels[lo:hi])
+    else:
+        for t, (page, level) in enumerate(
+                zip(pages.tolist(), levels.tolist()), t0):
+            if serves(page, level):
+                hits += 1
+            serve(t, page, level)
+    return hits
 
 
 def simulate_writeback(

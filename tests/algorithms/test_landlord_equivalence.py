@@ -1,9 +1,12 @@
-"""Heap Landlord must be *exactly* the reference Landlord, request by request.
+"""Production Landlord must be *exactly* the reference Landlord, request by request.
 
 The rewrite replaced the O(k) credit-decrement loop (and its
 ``credit <= 1e-12`` drift epsilon) with the global-offset death-key scheme.
-Both implementations now share exact ``(death, seq)`` arithmetic, so their
-behavior is compared with ``==`` — no approx, no tolerance.  The same
+The columnar kernel (``landlord``/``landlord-kernel``) and the O(k)-scan
+oracle (``landlord-ref``) share exact ``(death, seq)`` arithmetic, so their
+behavior is compared with ``==`` — no approx, no tolerance.  These runs go
+through the kernels' per-request ``serve`` path (``simulate`` validates by
+default); ``test_kernel_equivalence`` covers ``serve_batch``.  The same
 harness re-checks the water-filling pair, which pioneered the trick.
 """
 
@@ -12,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
-    HeapWaterFillingPolicy,
-    LandlordPolicy,
+    KernelLandlordPolicy,
+    KernelWaterFillingPolicy,
     LandlordRefPolicy,
     WaterFillingPolicy,
     policy_registry,
@@ -66,7 +69,8 @@ def lockstep_divergence(inst, seq, make_a, make_b):
 
 class TestLandlordEquivalence:
     def _check(self, inst, seq):
-        assert_exactly_equivalent(inst, seq, LandlordPolicy, LandlordRefPolicy)
+        assert_exactly_equivalent(inst, seq, KernelLandlordPolicy,
+                                  LandlordRefPolicy)
 
     def test_weighted_zipf(self):
         inst = WeightedPagingInstance(5, np.arange(1.0, 21.0))
@@ -89,7 +93,7 @@ class TestLandlordEquivalence:
 
     def test_tied_credits_break_identically(self):
         # Uniform weights force constant death-key ties: only the shared
-        # (death, seq) tie-break keeps heap and scan in agreement.  The
+        # (death, seq) tie-break keeps kernel and scan in agreement.  The
         # old epsilon implementation diverged exactly here.
         inst = WeightedPagingInstance.uniform(10, 4)
         self._check(inst, zipf_stream(10, 1500, alpha=0.5, rng=9))
@@ -97,12 +101,13 @@ class TestLandlordEquivalence:
     def test_request_by_request_lockstep(self):
         inst = WeightedPagingInstance(6, sample_weights(24, rng=4, high=32.0))
         seq = zipf_stream(24, 600, rng=7)
-        t = lockstep_divergence(inst, seq, LandlordPolicy, LandlordRefPolicy)
+        t = lockstep_divergence(inst, seq, KernelLandlordPolicy,
+                                LandlordRefPolicy)
         assert t is None, f"cache contents diverged at request {t}"
 
     def test_ref_registered(self):
         assert policy_registry["landlord-ref"] is LandlordRefPolicy
-        assert policy_registry["landlord"] is LandlordPolicy
+        assert policy_registry["landlord"] is KernelLandlordPolicy
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -129,14 +134,14 @@ class TestWaterFillingExactEquivalence:
         inst = random_multilevel_instance(n, k, levels, rng=rng)
         seq = multilevel_stream(n, levels, 200, rng=rng)
         assert_exactly_equivalent(
-            inst, seq, WaterFillingPolicy, HeapWaterFillingPolicy
+            inst, seq, WaterFillingPolicy, KernelWaterFillingPolicy
         )
 
     def test_lockstep(self):
         inst = random_multilevel_instance(12, 4, 2, rng=3)
         seq = multilevel_stream(12, 2, 600, rng=4)
         t = lockstep_divergence(
-            inst, seq, WaterFillingPolicy, HeapWaterFillingPolicy
+            inst, seq, WaterFillingPolicy, KernelWaterFillingPolicy
         )
         assert t is None, f"cache contents diverged at request {t}"
 
@@ -145,18 +150,20 @@ class TestNoEpsilon:
     def test_victim_credit_is_exactly_zero(self):
         """The death-key trick makes the victim's residual credit exactly
         0.0: the offset jumps *to* the victim's death key, so no epsilon
-        compare is ever needed.  Checked by instrumenting the heap pop."""
+        compare is ever needed.  Checked by instrumenting the kernel's
+        victim eviction."""
         residuals = []
 
-        class Probe(LandlordPolicy):
+        class Probe(KernelLandlordPolicy):
             name = "landlord-probe"
 
-            def _pop_victim(self):
-                key, page = super()._pop_victim()
-                # Residual credit at eviction = death - new offset = 0.0.
-                residuals.append(key - key)
+            def _evict_victim(self):
+                key = float(self._death.min())  # the victim's death key
                 assert key >= self._offset  # credits never go negative
-                return key, page
+                page = super()._evict_victim()
+                # Residual credit at eviction = death - new offset = 0.0.
+                residuals.append(key - self._offset)
+                return page
 
         inst = WeightedPagingInstance(4, sample_weights(16, rng=1, high=16.0))
         seq = zipf_stream(16, 500, rng=2)
@@ -169,7 +176,7 @@ class TestNoEpsilon:
         death keys comparable across time."""
         offsets = []
 
-        class Probe(LandlordPolicy):
+        class Probe(KernelLandlordPolicy):
             name = "landlord-offset-probe"
 
             def serve(self, t, page, level):

@@ -261,6 +261,25 @@ class TestLifecycle:
         srv.stop()
         svc.stop()
 
+    def test_stop_after_serving_returns_promptly(self):
+        # Once a front connection has been accepted, the accept thread
+        # sits in accept() again; stop() must wake it instead of waiting
+        # out its join timeout.
+        svc, srv = make_backend()
+        cmap = ClusterMap.balanced([srv.address], N_SHARDS)
+        proxy = ClusterProxy(cmap).start()
+        try:
+            with PagingClient(proxy.address, timeout=5.0) as client:
+                assert client.submit_batch([1, 2, 3]).ok
+            started = time.perf_counter()
+            proxy.stop()
+            elapsed = time.perf_counter() - started
+            assert elapsed < 1.0, f"ClusterProxy.stop() took {elapsed:.2f}s"
+        finally:
+            proxy.stop()
+            srv.stop()
+            svc.stop()
+
     def test_metrics_count_traffic(self):
         from repro.obs import MetricsRegistry
 

@@ -6,13 +6,19 @@ and queues — that is what makes closed-loop control possible without
 bouncing clients.
 """
 
+import contextlib
+import time
+
+import numpy as np
 import pytest
 
 from repro.algorithms import WaterFillingPolicy
 from repro.core.instance import WeightedPagingInstance
+from repro.faults import FaultPlan
 from repro.net import AdmissionPolicy, NetServer, PagingClient
 from repro.obs import MetricsRegistry
 from repro.service import PagingService, ServiceConfig
+from repro.service.router import ShardRouter
 from repro.workloads import sample_weights
 
 N_PAGES = 128
@@ -47,29 +53,57 @@ def pipelined_statuses(address, n):
     return statuses
 
 
-class TestLiveWindowResize:
-    def test_tightening_sheds_more_on_live_connections(self, served):
-        svc, srv = served
-        assert pipelined_statuses(srv.address, 8).count("shed") == 0
-        srv.set_max_inflight(2)
-        # New AND existing connections see cap 2: 8 pipelined -> 6 shed.
-        assert pipelined_statuses(srv.address, 8).count("shed") == 6
-        srv.set_max_inflight(8)
-        assert pipelined_statuses(srv.address, 8).count("shed") == 0
+def shard0_requests(n_pages):
+    """How many requests of one ``range(n_pages)`` submit shard 0 serves."""
+    shards = ShardRouter(2).shards_of(np.arange(n_pages))
+    return int(np.count_nonzero(shards == 0))
 
-    def test_existing_connection_is_resized_in_place(self, served):
-        svc, srv = served
-        with PagingClient(srv.address) as client:
-            assert client.submit_batch(range(16)).ok  # window established
-            srv.set_max_inflight(1)
-            import time
-            time.sleep(0.1)  # let the loop thread apply the new cap
-            for _ in range(4):
-                client.submit_nowait(range(16))
-            statuses = []
-            while client.inflight:
-                _, res = client.collect_any()
-                statuses.append(res.status)
+
+@contextlib.contextmanager
+def stalled_at(t):
+    """Like ``served``, but shard 0 stalls 0.5 s when its clock reaches ``t``.
+
+    Submits pipelined from that point are all in flight before the first
+    one completes, so how many the window sheds does not depend on how
+    fast the server drains them.
+    """
+    svc = make_service(metrics_registry=MetricsRegistry(),
+                       fault_plan=FaultPlan.parse(f"delay:0@{t}:0.5"))
+    svc.start()
+    srv = NetServer(svc, admission=AdmissionPolicy(max_inflight=8)).start()
+    try:
+        yield svc, srv
+    finally:
+        srv.stop()
+        svc.stop()
+
+
+class TestLiveWindowResize:
+    def test_tightening_sheds_more_on_live_connections(self):
+        # The stall lands on the first submit of the second round.
+        with stalled_at(8 * shard0_requests(30)) as (svc, srv):
+            assert pipelined_statuses(srv.address, 8).count("shed") == 0
+            srv.set_max_inflight(2)
+            # New AND existing connections see cap 2: 8 pipelined -> 6 shed.
+            assert pipelined_statuses(srv.address, 8).count("shed") == 6
+            srv.set_max_inflight(8)
+            assert pipelined_statuses(srv.address, 8).count("shed") == 0
+            assert svc.snapshot().n_faults_injected == 1  # the stall ran
+
+    def test_existing_connection_is_resized_in_place(self):
+        # The stall lands on the first of the four pipelined submits.
+        with stalled_at(shard0_requests(16)) as (svc, srv):
+            with PagingClient(srv.address) as client:
+                assert client.submit_batch(range(16)).ok  # window established
+                srv.set_max_inflight(1)
+                time.sleep(0.1)  # let the loop thread apply the new cap
+                for _ in range(4):
+                    client.submit_nowait(range(16))
+                statuses = []
+                while client.inflight:
+                    _, res = client.collect_any()
+                    statuses.append(res.status)
+            assert svc.snapshot().n_faults_injected == 1  # the stall ran
         assert statuses.count("shed") == 3
 
     def test_window_gauge_tracks_the_setpoint(self, served):

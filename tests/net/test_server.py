@@ -166,16 +166,26 @@ class TestAdmission:
             srv.stop()
             svc.stop()
 
-    def test_window_overflow_sheds_oldest(self, served):
+    def test_window_overflow_sheds_oldest(self):
         # max_inflight=4: ten pipelined submits shed the six oldest slots
         # as the window slides; every request still gets exactly one ack.
-        with PagingClient(served.address) as client:
-            for _ in range(10):
-                client.submit_nowait(range(30))
-            statuses = []
-            while client.inflight:
-                _, res = client.collect_any()
-                statuses.append(res.status)
+        # Shard 0 stalls on its first request (injected delay), so all
+        # ten submits are in flight before the first one can complete.
+        svc = make_service(fault_plan=FaultPlan.parse("delay:0@0:0.5"))
+        svc.start()
+        srv = NetServer(svc, admission=AdmissionPolicy(max_inflight=4)).start()
+        try:
+            with PagingClient(srv.address) as client:
+                for _ in range(10):
+                    client.submit_nowait(range(30))
+                statuses = []
+                while client.inflight:
+                    _, res = client.collect_any()
+                    statuses.append(res.status)
+            assert svc.snapshot().n_faults_injected == 1  # the stall ran
+        finally:
+            srv.stop()
+            svc.stop()
         assert len(statuses) == 10
         assert statuses.count("shed") == 6
         assert statuses.count("ok") == 4

@@ -6,9 +6,9 @@ per-request loop.  The contract pinned here:
 
 * fast path and the ``validate=True`` scalar fallback produce identical
   ledgers and cache contents,
-* an attached (sampled) tracer forces the scalar loop and yields traces
-  byte-identical to a scalar heap policy's run — the kernel must be
-  indistinguishable in the observability plane too,
+* an attached (sampled) tracer forces the per-request loop and yields
+  traces byte-identical to the ``landlord-ref`` scan oracle's run — the
+  kernel must be indistinguishable in the observability plane too,
 * inline / thread / process backends agree on the exact cost with kernel
   policies, like every other policy,
 * checkpoint capture/restore round-trips the columnar state and refreshes
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    HeapWaterFillingPolicy,
     KernelLandlordPolicy,
     KernelWaterFillingPolicy,
     LandlordRefPolicy,
@@ -48,12 +47,19 @@ class TestFastPathDispatch:
     @pytest.mark.parametrize("policy", KERNELS)
     def test_fast_path_engages_without_validation(self, policy):
         svc = make_service(policy)
-        assert svc.engines[0]._serve_batch is not None
+        engine = svc.engines[0]
+        calls = []
+        serve_batch = engine.policy.serve_batch
+        engine.policy.serve_batch = (
+            lambda *args: calls.append(args) or serve_batch(*args))
+        seq = _workload(64)
+        engine.process_batch(seq.pages, seq.levels)
+        assert len(calls) == 1
         svc.stop()
 
     def test_scalar_policies_have_no_fast_path(self):
-        svc = make_service(HeapWaterFillingPolicy)
-        assert svc.engines[0]._serve_batch is None
+        svc = make_service(LandlordRefPolicy)
+        assert getattr(svc.engines[0].policy, "serve_batch", None) is None
         svc.stop()
 
     @pytest.mark.parametrize("policy", KERNELS)
@@ -97,13 +103,15 @@ class TestFastPathDispatch:
 
 class TestTracedFallback:
     def test_traces_byte_identical_to_scalar_policy(self, tmp_path):
-        # An active tracer forces the scalar loop; the kernel's decisions
-        # — and therefore the sampled trace bytes — must match the lazy
-        # heap scalar exactly, shard by shard.
+        # An active tracer forces the per-request loop; the kernel's
+        # decisions — and therefore the sampled trace bytes — must match
+        # the scan oracle exactly, shard by shard.  Landlord, because the
+        # waterfilling scan also emits candidate sets and the kernels
+        # do not.
         seq = _workload(3000)
         paths = {}
-        for tag, policy in (("kernel", KernelWaterFillingPolicy),
-                            ("scalar", HeapWaterFillingPolicy)):
+        for tag, policy in (("kernel", KernelLandlordPolicy),
+                            ("scalar", LandlordRefPolicy)):
             svc = make_service(policy, n_shards=2, batch_size=128)
             paths[tag] = svc.enable_tracing(tmp_path / tag, sample=0.25,
                                             seed=7)
@@ -161,16 +169,19 @@ class TestKernelCheckpoint:
         target = engine(policy_cls())
         target.restore_from(payload, mark)
         assert target.n_requests == cut
-        # The cached fast-path binding must survive the restore.
-        assert target._serve_batch is not None
-        assert target._serve_batch.__self__ is target.policy
         # The restored policy shares the engine's live instance arrays.
         assert target.policy.instance is inst
+        # The fast path runs on the restored policy.
+        calls = []
+        serve_batch = target.policy.serve_batch
+        target.policy.serve_batch = (
+            lambda *args: calls.append(args) or serve_batch(*args))
 
         for eng in (source, target):
             for lo in range(cut, len(seq), 128):
                 eng.process_batch(seq.pages[lo:lo + 128],
                                   seq.levels[lo:lo + 128])
+        assert calls
         assert target.ledger.eviction_cost == source.ledger.eviction_cost
         assert target.ledger.n_hits == source.ledger.n_hits
         assert dict(target.cache.items()) == dict(source.cache.items())
